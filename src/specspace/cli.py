@@ -21,7 +21,7 @@ from .ideals import (
     ideal_from_thomason,
     is_finitely_generated,
 )
-from .poset import FinitePoset
+from .poset import EnumerationCapError, FinitePoset
 from .spaces import amalgamated_poset, describe_space, dual, is_finite_space, normalize
 from .spacefile import SpaceDocument, SpaceFileError, parse_document, serialize_document
 from .subsets import SymbolicSubset
@@ -157,15 +157,7 @@ def _cmd_ideals(args: argparse.Namespace) -> int:
             for k in range(3):
                 print(f"  witness support: {counted.family.term(k).describe()}")
         return 0
-    # enumerate
-    if not counted.finite:
-        print("error: cannot enumerate the radical ideals of an infinite spectrum", file=sys.stderr)
-        return 1
-    try:
-        ideals = list(enumerate_radical_ideals(space, cap=args.cap))
-    except NotThomasonError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    ideals = list(enumerate_radical_ideals(space, cap=args.cap))
     for ideal in ideals:
         kind = " (zero)" if ideal.is_zero else " (unit)" if ideal.is_unit else ""
         print(f"support {ideal.support.describe()}{kind}")
@@ -318,7 +310,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SpaceFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NotThomasonError as exc:
+    except (NotThomasonError, EnumerationCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

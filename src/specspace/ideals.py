@@ -130,7 +130,7 @@ def count_radical_ideals(e: SpaceExpr) -> IdealCount:
     for path, leaf in leaves(e):
         match leaf:
             case Finite(p):
-                count *= len(p.down_set_masks())
+                count *= p.count_down_sets()
             case GenericOverAntichain():
 
                 def term(k: int, _path=path) -> SymbolicSubset:
@@ -162,7 +162,7 @@ def enumerate_radical_ideals(e: SpaceExpr, cap: int = 10_000) -> Iterator[Radica
     e = normalize(e)
     counted = count_radical_ideals(e)
     if not counted.finite:
-        raise NotThomasonError("cannot enumerate the ideals of an infinite spectrum")
+        raise NotThomasonError("cannot enumerate the radical ideals of an infinite spectrum")
     assert counted.count is not None
     if counted.count > cap:
         raise NotThomasonError(

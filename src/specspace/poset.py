@@ -12,7 +12,7 @@ Subsets are bitmasks over element indices; bit ``i`` stands for
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Iterator, Sequence
 
 DOWN_SET_CAP = 20
@@ -168,6 +168,39 @@ class FinitePoset:
                 f"poset has {self.n} elements; down-set enumeration capped at {cap}"
             )
         return self._down_set_masks
+
+    def count_down_sets(self) -> int:
+        """The number of down-sets (= antichains), without listing them.
+
+        Antichains of S avoid the pivot x or contain x and nothing comparable
+        to it: N(S) = N(S - x) + N(S - (down(x) | up(x))), memoized on
+        bitmasks.  Elements comparable to nothing else in S each double the
+        count.  Worst case exponential (counting antichains is #P-complete);
+        chains, fans and disjoint unions of them are cheap.
+        """
+        comparable = [d | u for d, u in zip(self.down, self.up)]
+
+        @cache
+        def count(s: int) -> int:
+            total, factor, rest = 0, 1, s
+            # unrolling the N(S - x) branch keeps the recursion depth below n / 2
+            while rest:
+                pivot, degree, isolated = -1, 1, 0
+                for i in _bits(rest):
+                    k = (comparable[i] & rest).bit_count()
+                    if k == 1:
+                        isolated |= 1 << i
+                    elif k > degree:
+                        pivot, degree = i, k
+                factor <<= isolated.bit_count()
+                rest &= ~isolated
+                if pivot < 0:
+                    break
+                total += factor * count(rest & ~comparable[pivot])
+                rest &= ~(1 << pivot)
+            return total + factor
+
+        return count(self.full_mask)
 
     def subset(self, members: Iterable[str]) -> "FiniteSubset":
         mask = 0

@@ -119,8 +119,9 @@ def _parse_subset_node(space: SpaceExpr, obj: object, where: str) -> SetNode:
             if mode not in ("finite", "cofinite"):
                 raise SpaceFileError(f"{where}.closed.mode: expected 'finite' or 'cofinite'")
             indices = closed["indices"]
+            # bool is an int subclass; JSON true/false are not indices
             if not isinstance(indices, list) or not all(
-                isinstance(i, int) and i >= 0 for i in indices
+                type(i) is int and i >= 0 for i in indices
             ):
                 raise SpaceFileError(f"{where}.closed.indices: expected non-negative integers")
             generic = obj["generic"]
@@ -156,8 +157,11 @@ def parse_document(text: str) -> SpaceDocument:
     _require_keys(data, {"space", "subsets"}, {"space"}, "document")
     space = _parse_space(data["space"], "space")
     norm = normalize(space)
+    records = data.get("subsets", {})
+    if not isinstance(records, dict):
+        raise SpaceFileError("subsets: expected an object")
     subsets: dict[str, SymbolicSubset] = {}
-    for name, obj in data.get("subsets", {}).items():
+    for name, obj in records.items():
         node = _parse_subset_node(norm, obj, f"subsets.{name}")
         subsets[name] = SymbolicSubset(norm, node)
     return SpaceDocument(space, subsets)

@@ -16,9 +16,13 @@ On finite leaves: open = up-set, Thomason = down-set, everything is
 constructible.  Sums decide component-wise.
 
 A subset is *weakly visible* when it is the intersection of a Thomason set
-with the complement of another.  Two independent procedures decide this: a
-witness search over Thomason pairs and the locally-closed-in-the-dual test;
-``is_weakly_visible`` runs both and treats disagreement as an internal bug.
+with the complement of another.  Two independent procedures decide this.
+The witness route builds one canonical candidate pair per leaf (from
+down-closures on finite leaves, from the set and its complement on the
+infinite ones) and checks it; the candidate works whenever any pair does.
+The other route is the locally-closed-in-the-dual test, computed from
+closures in the dual.  ``is_weakly_visible`` runs both and treats
+disagreement as an internal bug.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from .spaces import (
     point_classes,
 )
 from .subsets import (
+    GOA_EMPTY,
     GOA_WHOLE,
     CarrierMismatchError,
     GoaSet,
@@ -190,86 +195,40 @@ def closure(s: SymbolicSubset) -> SymbolicSubset:
 # weak visibility
 
 
-def _finite_pair_search(p, v: int) -> Optional[tuple[int, int]]:
-    """Search down-set pairs (w1, w2) with w1 \\ w2 == v on a finite leaf.
-
-    The canonical candidate (down-closure of v, down-closure of what it adds)
-    is tried first; if any witness exists, that one works, but the general
-    scan keeps the procedure a genuine search.
-    """
-    full = p.full_mask
-    w1 = p.down_closure(v)
-    w2 = p.down_closure(w1 & ~v)
-    if w2 & v == 0 and w1 & ~w2 == v:
-        return w1, w2
-    downs = p.down_set_masks()
-    w1s = [w for w in downs if w & v == v]
-    w2s = [w for w in downs if w & v == 0]
-    for w1 in w1s:
-        for w2 in w2s:
-            if w1 & ~w2 & full == v:
-                return w1, w2
-    return None
-
-
-def _goa_thomason_pool(dualized: bool, v: GoaSet) -> list[GoaSet]:
-    """Thomason candidates for the pair search on an infinite leaf.
-
-    The pool is the Boolean algebra generated by the subset itself and the
-    generic-point singleton.  This is complete: a presentation v = w1 \\ w2
-    by Thomason sets exists iff one of (v, empty) or (whole, complement of v)
-    works, and both lie in this algebra.
-    """
-    eta = GoaSet(False, frozenset(), True)
-    atoms = [
-        v.intersection(eta),
-        v.difference(eta),
-        eta.difference(v),
-        v.union(eta).complement(),
-    ]
-    pool: list[GoaSet] = []
-    seen = set()
-    for pick in range(16):
-        acc = GoaSet(False, frozenset(), False)
-        for i in range(4):
-            if (pick >> i) & 1:
-                acc = acc.union(atoms[i])
-        if acc not in seen and _goa_is_open(not dualized, acc):
-            seen.add(acc)
-            pool.append(acc)
-    return pool
-
-
-def _goa_pair_search(dualized: bool, v: GoaSet) -> Optional[tuple[GoaSet, GoaSet]]:
-    pool = _goa_thomason_pool(dualized, v)
-    for w1 in pool:
-        for w2 in pool:
-            if w1.difference(w2) == v:
-                return w1, w2
-    return None
-
-
 def _leaf_witness(leaf: SpaceExpr, node: SetNode) -> Optional[tuple[SetNode, SetNode]]:
+    """The canonical Thomason pair (w1, w2) with node = w1 - w2, or None.
+
+    The candidate works whenever any pair does.  Finite leaf: if v = a - b
+    for down-sets a and b, then down(v) lies in a and down(v) - v in b.
+    Generic-over-antichain leaf: a set without the generic point is
+    Thomason, and a set with it has a complement without it.  Dual leaf:
+    v = w1 - w2 with w2 non-empty lies in the finite, generic-free
+    complement of w2, so complement(v) is Thomason.
+    """
     match leaf:
         case Finite(p):
             assert isinstance(node, FiniteSubset)
-            hit = _finite_pair_search(p, node.mask)
-            if hit is None:
+            w1 = p.down_closure(node.mask)
+            w2 = p.down_closure(w1 & ~node.mask)
+            if w2 & node.mask:
                 return None
-            return FiniteSubset(p, hit[0]), FiniteSubset(p, hit[1])
-        case GenericOverAntichain():
+            return FiniteSubset(p, w1), FiniteSubset(p, w2)
+        case GenericOverAntichain() | Dual(GenericOverAntichain()):
             assert isinstance(node, GoaSet)
-            return _goa_pair_search(False, node)
-        case Dual(GenericOverAntichain()):
-            assert isinstance(node, GoaSet)
-            return _goa_pair_search(True, node)
+            dualized = isinstance(leaf, Dual)
+            for w1, w2 in ((node, GOA_EMPTY), (GOA_WHOLE, node.complement())):
+                # Thomason = open in the dual leaf
+                if _goa_is_open(not dualized, w1) and _goa_is_open(not dualized, w2):
+                    return w1, w2
+            return None
     raise CarrierMismatchError("space not normalized")
 
 
 def weakly_visible_witness(
     s: SymbolicSubset,
 ) -> Optional[tuple[SymbolicSubset, SymbolicSubset]]:
-    """Thomason sets ``(w1, w2)`` with ``s = w1 - w2``, if any exist."""
+    """The canonical Thomason pair ``(w1, w2)`` with ``s = w1 - w2``, or None
+    when no Thomason pair presents ``s``."""
 
     def walk(space: SpaceExpr, node: SetNode) -> Optional[tuple[SetNode, SetNode]]:
         match space, node:
@@ -307,7 +266,7 @@ def is_weakly_visible(s: SymbolicSubset) -> bool:
     if (witness is not None) != by_inverse:
         raise InternalInconsistencyError(
             f"weak-visibility routes disagree on {s.describe()}: "
-            f"search={witness is not None}, inverse-locally-closed={by_inverse}"
+            f"witness={witness is not None}, inverse-locally-closed={by_inverse}"
         )
     return by_inverse
 

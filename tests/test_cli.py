@@ -28,6 +28,14 @@ def chain3_file(tmp_path):
     return str(f)
 
 
+@pytest.fixture
+def chain21_file(tmp_path):
+    # one element past the down-set enumeration cap
+    f = tmp_path / "chain21.json"
+    f.write_text(serialize_document(SpaceDocument(Finite(chain(21)))))
+    return str(f)
+
+
 def test_props_table(goa_file, capsys):
     assert main(["props", goa_file]) == 0
     out = capsys.readouterr().out
@@ -103,6 +111,27 @@ def test_ideals_enumerate_infinite_fails(goa_file, capsys):
 
 def test_ideals_cap_exceeded(chain3_file):
     assert main(["ideals", chain3_file, "--enumerate", "--cap", "2"]) == 1
+
+
+def test_ideals_count_past_enumeration_cap(chain21_file, capsys):
+    assert main(["ideals", chain21_file, "--count"]) == 0
+    assert capsys.readouterr().out.strip() == "22"
+
+
+def test_props_past_enumeration_cap(chain21_file, capsys):
+    assert main(["props", chain21_file]) == 0
+    out = capsys.readouterr().out
+    assert "radical ideals:        22" in out
+    assert "weakly-noetherian:     yes" in out
+
+
+def test_ideals_enumerate_past_cap_refused_cleanly(chain21_file, capsys):
+    assert main(["ideals", chain21_file, "--enumerate"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "Traceback" not in captured.err
 
 
 def test_check_builtin_catalog(capsys):

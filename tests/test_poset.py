@@ -15,7 +15,7 @@ from specspace.poset import (
     is_up_set,
     opposite_poset,
 )
-from specspace.verify import exhaustive_posets, random_poset
+from specspace.verify import _oracle_down_masks, exhaustive_posets, random_poset
 
 
 def brute_down_masks(p):
@@ -117,6 +117,25 @@ def test_down_set_counts():
         assert len(list(enumerate_down_sets(chain(n)))) == n + 1
     assert len(list(enumerate_down_sets(diamond()))) == 6
     assert len(list(enumerate_down_sets(fan(5)))) == 33
+
+
+def test_count_down_sets_against_oracle():
+    for n in range(6):
+        for p in exhaustive_posets(n):
+            assert p.count_down_sets() == len(_oracle_down_masks(p))
+    for seed in range(40):
+        p = random_poset(seed, 6 + seed % 7)
+        assert p.count_down_sets() == len(_oracle_down_masks(p))
+
+
+def test_count_down_sets_closed_forms():
+    for n in range(61):
+        assert chain(n).count_down_sets() == n + 1
+    for n in range(25):
+        assert antichain(n).count_down_sets() == 2**n
+    for k in range(1, 25):
+        assert fan(k).count_down_sets() == 2**k + 1
+    assert diamond().count_down_sets() == 6
 
 
 def test_down_sets_closed_under_union_intersection():

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from specspace.catalog import BUILTIN_CATALOG, chain
+from specspace.cli import main
 from specspace.poset import FiniteSubset
 from specspace.spaces import GOA, Dual, Finite, Sum, normalize
 from specspace.spacefile import (
@@ -145,3 +146,24 @@ def test_bad_mode_rejected():
             '{"space": {"kind": "generic_over_antichain"},'
             ' "subsets": {"s": {"closed": {"mode": "open", "indices": []}, "generic": false}}}'
         )
+
+
+def test_boolean_index_rejected():
+    with pytest.raises(SpaceFileError) as err:
+        parse_document(
+            '{"space": {"kind": "generic_over_antichain"},'
+            ' "subsets": {"s": {"closed": {"mode": "finite", "indices": [true]}, "generic": false}}}'
+        )
+    assert "indices" in str(err.value)
+
+
+@pytest.mark.parametrize("records", ["[1]", "null", '"s"', "3"])
+def test_subsets_must_be_an_object(records, tmp_path, capsys):
+    text = '{"space": {"kind": "generic_over_antichain"}, "subsets": %s}' % records
+    with pytest.raises(SpaceFileError) as err:
+        parse_document(text)
+    assert "subsets" in str(err.value)
+    f = tmp_path / "bad.json"
+    f.write_text(text)
+    assert main(["props", str(f)]) == 2
+    assert capsys.readouterr().err.startswith("error: subsets")

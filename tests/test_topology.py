@@ -1,9 +1,11 @@
 """Decision procedures against brute force and frozen leaf tables."""
 
+import random
+
 import pytest
 
 from specspace.catalog import BUILTIN_CATALOG, antichain, chain, diamond
-from specspace.poset import FiniteSubset
+from specspace.poset import FinitePoset, FiniteSubset, build_poset
 from specspace.spaces import GOA, Dual, Finite, Sum, dual, normalize, point_classes
 from specspace.subsets import GoaSet, SumSet, SymbolicSubset, class_singleton, closed_points
 from specspace.topology import (
@@ -21,7 +23,12 @@ from specspace.topology import (
     weakly_visible_inverse,
     weakly_visible_witness,
 )
-from specspace.verify import exhaustive_posets
+from specspace.verify import (
+    _oracle_down_masks,
+    _oracle_weakly_visible,
+    exhaustive_posets,
+    random_poset,
+)
 
 
 def brute_down_masks(p):
@@ -256,6 +263,81 @@ def test_weak_visibility_on_sums_is_componentwise():
     assert is_weakly_visible(good)
     bad = SymbolicSubset(space, SumSet((FiniteSubset(p, 0b010), GoaSet(False, frozenset(), True))))
     assert not is_weakly_visible(bad)
+
+
+def _assert_weakly_visible_with_witness(s, expected):
+    assert is_weakly_visible(s) == expected, s.describe()
+    witness = weakly_visible_witness(s)
+    assert (witness is not None) == expected
+    if witness is not None:
+        w1, w2 = witness
+        assert is_thomason(w1) and is_thomason(w2)
+        assert w1.difference(w2) == s
+
+
+def _goa_point_vector(g, universe):
+    # membership of c0..c_{universe-1}, of the closed points beyond them, of eta
+    return tuple((i in g.indices) != g.cofinite for i in range(universe)) + (g.cofinite, g.generic)
+
+
+def _goa_table_thomason(dualized, g):
+    # the Thomason column of the leaf table in the topology docstring
+    cofinite_eta = g.cofinite and g.generic
+    if dualized:
+        return (not g.cofinite and not g.indices and not g.generic) or cofinite_eta
+    return not g.generic or (cofinite_eta and not g.indices)
+
+
+@pytest.mark.parametrize("dualized", [False, True])
+def test_goa_weak_visibility_against_pair_scan(dualized):
+    """Brute force over every Thomason descriptor with indices in {0..4},
+    set differences taken pointwise, against the canonical witness."""
+    universe = 5
+    space = normalize(Dual(GOA) if dualized else GOA)
+    shapes = list(goa_shapes(universe))
+    thomason = [_goa_point_vector(g, universe) for g in shapes if _goa_table_thomason(dualized, g)]
+    presentable = {
+        tuple(a and not b for a, b in zip(w1, w2)) for w1 in thomason for w2 in thomason
+    }
+    for node in shapes:
+        s = SymbolicSubset(space, node)
+        _assert_weakly_visible_with_witness(s, _goa_point_vector(node, universe) in presentable)
+
+
+@pytest.mark.parametrize("n", range(6, 13))
+def test_finite_weak_visibility_against_oracle_on_random_posets(n):
+    p = random_poset(1000 + n, n)
+    space = Finite(p)
+    downs = _oracle_down_masks(p)
+    rng = random.Random(n)
+    masks = [1 << i for i in range(n)] + [rng.randrange(1 << n) for _ in range(30)]
+    for m in masks:
+        s = SymbolicSubset(space, FiniteSubset(p, m))
+        _assert_weakly_visible_with_witness(s, _oracle_weakly_visible(p, downs, m))
+
+
+def test_weak_visibility_past_the_enumeration_cap_does_not_enumerate(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("down-set enumeration")
+
+    monkeypatch.setattr(FinitePoset, "down_set_masks", refuse)
+    n = 24
+    rng = random.Random(24)
+    labels = [f"x{i}" for i in range(n)]
+    pairs = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.15]
+    p = build_poset(labels, pairs)
+    space = Finite(p)
+    masks = [rng.randrange(1 << n) for _ in range(20)] + [0b101, 1 << 7]
+    # differences of down-sets: weakly visible by definition
+    masks += [
+        p.down_closure(rng.randrange(1 << n)) & ~p.down_closure(rng.randrange(1 << n))
+        for _ in range(20)
+    ]
+    for m in masks:
+        s = SymbolicSubset(space, FiniteSubset(p, m))
+        convex = p.down_closure(m) & p.up_closure(m) == m
+        assert is_weakly_visible(s) == convex
+    assert space_props(space).weakly_noetherian
 
 
 # ---------------------------------------------------------------------------
