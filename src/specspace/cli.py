@@ -8,6 +8,7 @@ infinite enumeration, a cap overrun), 2 for usage and parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -147,8 +148,8 @@ def _cmd_props(args: argparse.Namespace) -> int:
 def _cmd_ideals(args: argparse.Namespace) -> int:
     doc = _load(args.file)
     space = normalize(doc.space)
-    counted = count_radical_ideals(space)
     if args.mode == "count":
+        counted = count_radical_ideals(space)
         if counted.finite:
             print(counted.count)
         else:
@@ -252,7 +253,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parsing leaves the parser unchanged
     parser = argparse.ArgumentParser(
         prog="specspace",
         description=(

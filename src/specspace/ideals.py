@@ -23,13 +23,13 @@ from .spaces import (
     Sum,
     leaves,
     normalize,
-    point_classes,
 )
 from .subsets import GoaSet, SetNode, SumSet, SymbolicSubset, embed_at
 from .poset import FiniteSubset
 from .topology import (
     InternalInconsistencyError,
     SpaceProps,
+    first_failing_class,
     gen_closure,
     is_constructible,
     is_thomason,
@@ -101,6 +101,10 @@ def prime_at_point(e: SpaceExpr, c: PointClass) -> PrimeIdeal:
 def is_finitely_generated(ideal: RadicalIdeal) -> bool:
     """Support-level criterion: the complement of the support is constructible."""
     return is_constructible(ideal.support.complement())
+
+
+def _prime_is_fg(c: PointClass) -> bool:
+    return is_finitely_generated(prime_at_point(c.space, c).as_radical())
 
 
 @dataclass(frozen=True)
@@ -229,29 +233,31 @@ def find_non_fg_prime(e: SpaceExpr) -> Optional[PointClass]:
     such a class must exist; its absence then is an internal bug.
     """
     e = normalize(e)
-    for c in point_classes(e):
-        if not is_finitely_generated(prime_at_point(e, c).as_radical()):
-            return c
-    props = space_props(e)
-    if props.weakly_noetherian and not props.finite:
-        raise InternalInconsistencyError(
-            f"weakly Noetherian infinite space without a non-fg prime: {e!r}"
-        )
-    return None
+    bad = first_failing_class(e, _prime_is_fg)
+    if bad is None:
+        props = space_props(e)
+        if props.weakly_noetherian and not props.finite:
+            raise InternalInconsistencyError(
+                f"weakly Noetherian infinite space without a non-fg prime: {e!r}"
+            )
+    return bad
 
 
 def cohen_report(e: SpaceExpr) -> CohenReport:
+    """The Cohen pattern of ``e`` and its cross-checks.
+
+    Primes are tested class by class on each class's own leaf, like the
+    weak-visibility scan of ``space_props``: a prime's support is the
+    whole carrier on every other summand, so only its own leaf decides
+    whether it is Thomason and finitely generated.
+    """
     e = normalize(e)
     props = space_props(e)
 
     all_fg, bad_ideal = all_radical_ideals_fg(e)
 
-    bad_prime: Optional[PrimeIdeal] = None
-    for c in point_classes(e):
-        prime = prime_at_point(e, c)
-        if not is_finitely_generated(prime.as_radical()):
-            bad_prime = prime
-            break
+    bad_class = first_failing_class(e, _prime_is_fg)
+    bad_prime = None if bad_class is None else prime_at_point(e, bad_class)
 
     report = CohenReport(
         space=e,

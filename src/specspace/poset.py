@@ -35,7 +35,7 @@ class CycleError(PosetError):
 
 
 class EnumerationCapError(PosetError):
-    """Down-set enumeration refused because the poset exceeds the cap."""
+    """An enumeration refused because it would exceed its cap."""
 
 
 def _bits(mask: int) -> Iterator[int]:

@@ -149,6 +149,13 @@ def _parse_subset_node(space: SpaceExpr, obj: object, where: str) -> SetNode:
 
 def parse_document(text: str) -> SpaceDocument:
     try:
+        return _parse_document(text)
+    except RecursionError as exc:
+        raise SpaceFileError("records are nested too deeply") from exc
+
+
+def _parse_document(text: str) -> SpaceDocument:
+    try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpaceFileError(

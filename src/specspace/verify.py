@@ -23,7 +23,7 @@ from .ideals import (
     ideal_from_thomason,
     is_finitely_generated,
 )
-from .poset import FinitePoset, FiniteSubset, build_poset
+from .poset import EnumerationCapError, FinitePoset, FiniteSubset, build_poset
 from .spaces import (
     Dual,
     Finite,
@@ -32,6 +32,7 @@ from .spaces import (
     Sum,
     amalgamated_poset,
     dual,
+    leaves,
     normalize,
 )
 from .subsets import GoaSet, SetNode, SumSet, SymbolicSubset, class_singleton
@@ -58,6 +59,8 @@ STATEMENTS = (
 
 MAX_EXHAUSTIVE = 6
 MAX_STORED_FAILURES = 20
+# subsets listed by ``descriptor_shapes``; the largest catalog entry needs 512
+MAX_SHAPES = 1 << 14
 
 
 @dataclass
@@ -173,11 +176,23 @@ def random_poset(seed: int, n: int) -> FinitePoset:
 
 def descriptor_shapes(space: SpaceExpr, max_index: int | None = None) -> list[SymbolicSubset]:
     """A deterministic family of representable subsets covering every
-    descriptor shape; used as the instance pool on symbolic spaces."""
+    descriptor shape; used as the instance pool on symbolic spaces.
+
+    The pool is the product of per-leaf pools (all 2^n subsets of a finite
+    leaf, 2^max_index * 4 descriptors of an infinite one); past
+    ``MAX_SHAPES`` it raises ``EnumerationCapError`` before building any.
+    """
     space = normalize(space)
-    leaf_count = sum(1 for _ in _leaves_of(space))
+    lvs = [leaf for _, leaf in leaves(space)]
     if max_index is None:
-        max_index = 4 if leaf_count <= 1 else 2
+        max_index = 4 if len(lvs) <= 1 else 2
+    total = 1 << sum(
+        leaf.poset.n if isinstance(leaf, Finite) else max_index + 2 for leaf in lvs
+    )
+    if total > MAX_SHAPES:
+        raise EnumerationCapError(
+            f"{total} subset shapes exceed the cap of {MAX_SHAPES}"
+        )
 
     def shapes(x: SpaceExpr) -> list[SetNode]:
         match x:
@@ -198,15 +213,6 @@ def descriptor_shapes(space: SpaceExpr, max_index: int | None = None) -> list[Sy
         raise ValueError("space not normalized")
 
     return [SymbolicSubset(space, node) for node in shapes(space)]
-
-
-def _leaves_of(space: SpaceExpr):
-    match space:
-        case Sum(parts):
-            for p in parts:
-                yield from _leaves_of(p)
-        case _:
-            yield space
 
 
 # ---------------------------------------------------------------------------

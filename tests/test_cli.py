@@ -4,7 +4,9 @@ from pathlib import Path
 import pytest
 
 from specspace.catalog import BUILTIN_CATALOG, chain
+from specspace import cli
 from specspace.cli import hasse_dot, main
+from specspace.poset import FinitePoset
 from specspace.spacefile import SpaceDocument, serialize_document
 from specspace.spaces import GOA, Dual, Finite, Sum, normalize
 
@@ -134,6 +136,22 @@ def test_ideals_enumerate_past_cap_refused_cleanly(chain21_file, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_ideals_enumerate_counts_once(tmp_path, capsys, monkeypatch):
+    f = tmp_path / "chain14.json"
+    f.write_text(serialize_document(SpaceDocument(Finite(chain(14)))))
+    calls = []
+    count = FinitePoset.count_down_sets
+
+    def counting(self):
+        calls.append(self)
+        return count(self)
+
+    monkeypatch.setattr(FinitePoset, "count_down_sets", counting)
+    assert main(["ideals", str(f), "--enumerate"]) == 0
+    assert "total: 15" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
 def test_check_builtin_catalog(capsys):
     assert main(["check", "--builtin", "catalog", "theorem"]) == 0
     assert "PASS" in capsys.readouterr().out
@@ -147,6 +165,17 @@ def test_check_posets_scope(capsys):
 
 def test_check_single_file(goa_file, capsys):
     assert main(["check", goa_file, "proposition"]) == 0
+
+
+def test_check_file_past_shape_cap_refused_cleanly(tmp_path, capsys):
+    f = tmp_path / "chain15.json"
+    f.write_text(serialize_document(SpaceDocument(Finite(chain(15)))))
+    assert main(["check", str(f), "wv-inverse"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "Traceback" not in captured.err
 
 
 def test_check_unknown_statement(capsys):
@@ -227,3 +256,19 @@ def test_catalog_files_parse_and_round_trip(tmp_path):
         doc = SpaceDocument(normalize(entry.space))
         f.write_text(serialize_document(doc))
         assert main(["ideals", str(f), "--count"]) == 0
+
+
+def test_parser_built_once_per_process(goa_file, chain3_file, capsys):
+    runs = (["props", goa_file], ["ideals", chain3_file, "--count"])
+    separate = []
+    for argv in runs:
+        cli._build_parser.cache_clear()
+        assert main(argv) == 0
+        separate.append(capsys.readouterr())
+    cli._build_parser.cache_clear()
+    together = []
+    for argv in runs:
+        assert main(argv) == 0
+        together.append(capsys.readouterr())
+    assert cli._build_parser.cache_info().misses == 1
+    assert together == separate

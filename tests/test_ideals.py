@@ -1,5 +1,6 @@
 import pytest
 
+from specspace import subsets
 from specspace.catalog import BUILTIN_CATALOG, antichain, chain
 from specspace.ideals import (
     NotThomasonError,
@@ -14,7 +15,7 @@ from specspace.ideals import (
 )
 from specspace.spaces import GOA, Dual, Finite, Sum, point_classes
 from specspace.subsets import GoaSet, closed_points, empty, whole
-from specspace.topology import is_thomason
+from specspace.topology import is_thomason, space_props
 from specspace.verify import exhaustive_posets
 
 
@@ -215,3 +216,24 @@ def test_ideal_equality_is_support_equality():
     c = ideal_from_thomason(closed_points(GOA, [0]))
     assert a == b
     assert a != c
+
+
+def test_point_class_scans_linear_in_summands(monkeypatch):
+    # descriptor work, counted as shape checks (one per descriptor node):
+    # a full-width scan does O(k) classes times O(k) nodes, about 16x here
+    calls = [0]
+    check = subsets._check_shape
+
+    def counting(space, node):
+        calls[0] += 1
+        return check(space, node)
+
+    monkeypatch.setattr(subsets, "_check_shape", counting)
+
+    def work(report, k):
+        calls[0] = 0
+        report(Sum((GOA,) * k))
+        return calls[0]
+
+    for report in (space_props, cohen_report):
+        assert work(report, 160) <= 5 * work(report, 40), report.__name__

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -167,3 +171,45 @@ def test_subsets_must_be_an_object(records, tmp_path, capsys):
     f.write_text(text)
     assert main(["props", str(f)]) == 2
     assert capsys.readouterr().err.startswith("error: subsets")
+
+
+def _nested_duals(levels: int) -> str:
+    return (
+        '{"space": ' + '{"kind": "dual", "space": ' * levels
+        + '{"kind": "generic_over_antichain"}' + "}" * levels + "}\n"
+    )
+
+
+def _run_cli(*argv: str) -> subprocess.CompletedProcess:
+    # a fresh interpreter, so the recursion budget is not the test runner's
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    ))
+    return subprocess.run(
+        [sys.executable, "-m", "specspace", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def test_deeply_nested_records_are_a_parse_error(tmp_path):
+    text = _nested_duals(3000)
+    with pytest.raises(SpaceFileError) as err:
+        parse_document(text)
+    assert "nested too deeply" in str(err.value)
+    f = tmp_path / "deep.json"
+    f.write_text(text)
+    proc = _run_cli("props", str(f))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_nested_duals_below_the_limit_still_answer(tmp_path):
+    f = tmp_path / "deep.json"
+    f.write_text(_nested_duals(980))  # an even count: the space is GOA itself
+    proc = _run_cli("props", str(f))
+    assert proc.returncode == 0, proc.stderr
+    assert "noetherian:            yes" in proc.stdout
+    assert proc.stderr == ""

@@ -1,6 +1,6 @@
 import pytest
 
-from specspace.poset import FinitePoset
+from specspace.poset import EnumerationCapError, FinitePoset
 from specspace.verify import (
     STATEMENTS,
     check_statement,
@@ -103,6 +103,16 @@ def test_descriptor_shapes_cover_all_leaf_patterns():
     assert len(shapes) == len(set(shapes)) == 2 * 2 * 16
     shapes = descriptor_shapes(Sum((Finite(chain(2)), Dual(GOA))))
     assert len(shapes) == 4 * 16  # 2^2 masks times 2*2*4 descriptor shapes
+
+
+def test_descriptor_shapes_refused_past_the_cap():
+    from specspace.catalog import catalog_entry
+
+    assert len(descriptor_shapes(catalog_entry("nested-sum").space)) == 512
+    with pytest.raises(EnumerationCapError):
+        descriptor_shapes(Finite(chain(15)))
+    with pytest.raises(EnumerationCapError):
+        descriptor_shapes(Sum((GOA,) * 8))  # 16 shapes per leaf, 2^32 in all
 
 
 def test_failures_carry_minimal_instance_data():
