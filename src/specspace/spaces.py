@@ -13,13 +13,16 @@ Four constructors close the supported class:
 
 ``normalize`` rewrites any expression so that ``Dual`` sits directly on a
 ``GenericOverAntichain`` leaf and nowhere else; structural equality of
-normal forms is the package's notion of "the same space".
+normal forms is the package's notion of "the same space".  An expression
+already in normal form is returned as it is, and ``dual`` of a normal form
+is built once and kept on it, so repeated calls hand back the same objects.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator
 
 from .poset import FinitePoset, build_poset
 
@@ -47,39 +50,73 @@ class Sum:
         object.__setattr__(self, "summands", tuple(self.summands))
 
 
-SpaceExpr = Union[Finite, GenericOverAntichain, Dual, Sum]
+# PEP 604 unions are not kept in ``typing``'s process-wide cache, which
+# would pin every re-imported copy of these classes.
+SpaceExpr = Finite | GenericOverAntichain | Dual | Sum
 
 GOA = GenericOverAntichain()
+DUAL_GOA = Dual(GOA)
 
 
 def normalize(e: SpaceExpr) -> SpaceExpr:
     """Denotation-preserving normal form; idempotent.
 
     Double duals cancel, duals of finite leaves become opposite posets,
-    duals of sums are pushed into the summands.
+    duals of sums are pushed into the summands.  A normal form is returned
+    as it is (``normalize(e) is e``), so carriers normalized from the same
+    expression are the same object.
     """
     match e:
         case Finite() | GenericOverAntichain():
             return e
         case Sum(parts):
-            return Sum(tuple(normalize(p) for p in parts))
+            # map, not a generator: one Python frame per nesting level
+            normed = tuple(map(normalize, parts))
+            if all(map(operator.is_, normed, parts)):
+                return e
+            return Sum(normed)
         case Dual(inner):
             n = normalize(inner)
-            match n:
-                case Finite(p):
-                    return Finite(p.opposite)
-                case GenericOverAntichain():
-                    return Dual(n)
-                case Dual(core):
-                    return core
-                case Sum(parts):
-                    return Sum(tuple(normalize(Dual(p)) for p in parts))
+            if isinstance(n, GenericOverAntichain):
+                return e if n is inner else Dual(n)
+            return _dual_of_normal(n)
     raise TypeError(f"not a space expression: {e!r}")
 
 
 def dual(e: SpaceExpr) -> SpaceExpr:
-    """The inverse space, in normal form."""
-    return normalize(Dual(e))
+    """The inverse space, in normal form.
+
+    Built once per normal-form ``Finite`` or ``Sum`` and kept on it; the
+    link runs one way only (the dual does not point back), so no reference
+    cycle keeps a space alive.  Every ``GenericOverAntichain`` leaf has
+    ``DUAL_GOA`` as its dual, and the dual of ``Dual(leaf)`` is ``leaf``.
+    """
+    # only normal forms carry a kept dual, so they skip the normalize walk
+    kept = getattr(e, "_dual", None)
+    if kept is not None:
+        return kept
+    return _dual_of_normal(normalize(e))
+
+
+def _dual_of_normal(e: SpaceExpr) -> SpaceExpr:
+    match e:
+        case GenericOverAntichain():
+            return DUAL_GOA
+        case Dual(inner):
+            return inner
+    kept = getattr(e, "_dual", None)
+    if kept is not None:
+        return kept
+    match e:
+        case Finite(p):
+            d: SpaceExpr = Finite(p.opposite)
+        case Sum(parts):
+            d = Sum(tuple(map(_dual_of_normal, parts)))
+        case _:
+            raise TypeError(f"not a space expression: {e!r}")
+    # not a dataclass field, so equality, hashing and repr ignore it
+    object.__setattr__(e, "_dual", d)
+    return d
 
 
 def is_normalized(e: SpaceExpr) -> bool:

@@ -10,7 +10,7 @@ and denote exactly the corresponding point-set operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable
 
 from .poset import FiniteSubset
 from .spaces import (
@@ -109,7 +109,7 @@ class SumSet:
         object.__setattr__(self, "parts", tuple(self.parts))
 
 
-SetNode = Union[FiniteSubset, GoaSet, SumSet]
+SetNode = FiniteSubset | GoaSet | SumSet
 
 
 def _check_shape(space: SpaceExpr, node: SetNode) -> None:
@@ -163,20 +163,14 @@ def _node_op(a: SetNode, b: SetNode, op: str) -> SetNode:
     raise CarrierMismatchError("descriptor shapes differ")
 
 
-def _node_complement(space: SpaceExpr, node: SetNode) -> SetNode:
+def _node_complement(node: SetNode) -> SetNode:
     match node:
         case FiniteSubset():
             return node.complement()
         case GoaSet():
             return node.complement()
         case SumSet(parts):
-            assert isinstance(space, Sum)
-            return SumSet(
-                tuple(
-                    _node_complement(p, s)
-                    for p, s in zip(space.summands, parts)
-                )
-            )
+            return SumSet(tuple(_node_complement(s) for s in parts))
     raise TypeError(f"not a descriptor: {node!r}")
 
 
@@ -207,15 +201,20 @@ class SymbolicSubset:
     """A finitely describable subset of the space denoted by ``space``.
 
     ``space`` must be in normal form; the descriptor tree follows its shape.
+    Both are checked on construction, except that a finite leaf whose
+    subset is built on the leaf's own poset object is accepted at once.
     """
 
     space: SpaceExpr
     node: SetNode
 
     def __post_init__(self) -> None:
-        if not is_normalized(self.space):
+        space, node = self.space, self.node
+        if type(space) is Finite and type(node) is FiniteSubset and node.poset is space.poset:
+            return
+        if not is_normalized(space):
             raise CarrierMismatchError("subsets attach to normalized space expressions")
-        _check_shape(self.space, self.node)
+        _check_shape(space, node)
 
     def _check_carrier(self, other: "SymbolicSubset") -> None:
         if self.space != other.space:
@@ -232,7 +231,7 @@ class SymbolicSubset:
         )
 
     def complement(self) -> "SymbolicSubset":
-        return SymbolicSubset(self.space, _node_complement(self.space, self.node))
+        return SymbolicSubset(self.space, _node_complement(self.node))
 
     def difference(self, other: "SymbolicSubset") -> "SymbolicSubset":
         return self.intersection(other.complement())

@@ -213,3 +213,20 @@ def test_nested_duals_below_the_limit_still_answer(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "noetherian:            yes" in proc.stdout
     assert proc.stderr == ""
+
+
+def test_deeply_nested_sums_answer(tmp_path):
+    # 250 levels of sum(GOA, sum(GOA, ...)): the reports compare the
+    # normalized space with itself, which must not walk the whole tree
+    goa = '{"kind": "generic_over_antichain"}'
+    record = goa
+    for _ in range(250):
+        record = '{"kind": "sum", "summands": [' + goa + ", " + record + "]}"
+    f = tmp_path / "deep-sum.json"
+    f.write_text('{"space": ' + record + "}\n")
+    proc = _run_cli("props", str(f))
+    assert proc.returncode == 0, proc.stderr
+    assert "finite:                no" in proc.stdout
+    proc = _run_cli("ideals", str(f), "--count")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

@@ -1,9 +1,13 @@
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 from specspace.catalog import BUILTIN_CATALOG, antichain, chain
-from specspace.poset import FiniteSubset
+from specspace.poset import FinitePoset, FiniteSubset
 from specspace.spaces import (
     GOA,
     Dual,
@@ -69,6 +73,41 @@ def test_normalize_idempotent_on_catalog():
 def test_dual_is_involution_on_catalog():
     for entry in BUILTIN_CATALOG:
         assert dual(dual(entry.space)) == normalize(entry.space)
+
+
+@pytest.mark.parametrize("entry", BUILTIN_CATALOG, ids=lambda e: e.name)
+def test_normal_forms_and_duals_are_built_once(entry):
+    n = normalize(entry.space)
+    assert normalize(n) is n
+    d = dual(n)
+    assert dual(n) is d
+    assert normalize(d) is d
+
+
+def test_reimported_package_is_collected():
+    # a fresh interpreter: the test runner holds its own copy of the package
+    script = """
+import gc, importlib, sys, weakref
+refs = []
+for _ in range(20):
+    for name in [m for m in sys.modules if m == "specspace" or m.startswith("specspace.")]:
+        del sys.modules[name]
+    importlib.import_module("specspace.cli")
+    refs.append(weakref.ref(sys.modules["specspace.spaces"].Finite))
+    refs.append(weakref.ref(sys.modules["specspace.subsets"].SumSet))
+gc.collect()
+print(sum(r() is not None for r in refs))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "2"  # the last import's two classes only
 
 
 def test_point_class_counts():
@@ -140,6 +179,18 @@ def test_carrier_mismatch_rejected():
 def test_subsets_attach_to_normal_forms_only():
     with pytest.raises(CarrierMismatchError):
         SymbolicSubset(Dual(Finite(chain(2))), FiniteSubset(chain(2).opposite, 0))
+
+
+def test_finite_leaf_carrier_checked_unless_identical():
+    p = chain(2)
+    with pytest.raises(CarrierMismatchError):
+        SymbolicSubset(Finite(p), FiniteSubset(antichain(2), 0))
+    with pytest.raises(CarrierMismatchError):
+        SymbolicSubset(Dual(Finite(p)), FiniteSubset(p, 0))
+    twin = FinitePoset(p.labels, p.down)
+    assert twin == p and twin is not p
+    s = SymbolicSubset(Finite(p), FiniteSubset(twin, 0b01))
+    assert s == SymbolicSubset(Finite(p), FiniteSubset(p, 0b01))
 
 
 def test_class_singletons():

@@ -123,3 +123,49 @@ def test_failures_carry_minimal_instance_data():
     res = check_statement("finiteness", scope="catalog", entries=(wrong,))
     assert not res.passed
     assert res.failures[0].instance.startswith("wrong-goa")
+
+
+def _count_fg_decisions(monkeypatch, fail_mask=None):
+    """Wrap the decision ``fg-lemma-consistency`` calls; count calls per
+    poset and optionally make it fail on one support mask."""
+    from specspace import verify
+
+    real = verify.is_finitely_generated
+    calls = {}
+
+    def counted(ideal):
+        p = ideal.space.poset
+        calls[p] = calls.get(p, 0) + 1
+        if ideal.support.node.mask == fail_mask:
+            return False
+        return real(ideal)
+
+    monkeypatch.setattr(verify, "is_finitely_generated", counted)
+    return calls
+
+
+def test_fg_lemma_decides_each_distinct_union_once(monkeypatch):
+    calls = _count_fg_decisions(monkeypatch)
+    res = check_statement("fg-lemma-consistency", max_size=4, scope="posets")
+    assert res.passed
+    posets = [p for n in range(5) for p in exhaustive_posets(n)]
+    downs = {p: p.count_down_sets() for p in posets}
+    assert res.instances == sum(d + d * d for d in downs.values())
+    assert set(calls) == set(downs)
+    for p, d in downs.items():
+        assert calls[p] <= 2 * d
+
+
+def test_fg_lemma_failing_union_tagged_with_first_pair(monkeypatch):
+    from specspace.catalog import antichain
+
+    # down-sets of a 2-antichain in order 0x0, 0x1, 0x2, 0x3; the union
+    # 0x3 arises from nine pairs, first from (0x0, 0x3)
+    _count_fg_decisions(monkeypatch, fail_mask=0b11)
+    res = check_statement(
+        "fg-lemma-consistency", max_size=0, scope="posets", extra_posets=(antichain(2),)
+    )
+    unions = [f.instance for f in res.failures if " union " in f.instance]
+    assert len(unions) == 1
+    assert unions[0].endswith("union 0x0|0x3")
+    assert res.instances == 1 + 1 + 4 + 16
