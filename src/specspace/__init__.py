@@ -15,7 +15,6 @@ from .poset import (
     FiniteSubset,
     PosetError,
     build_poset,
-    canonicalized,
     enumerate_down_sets,
     is_down_set,
     is_up_set,

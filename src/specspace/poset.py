@@ -51,11 +51,20 @@ class FinitePoset:
 
     ``down[i]`` is the bitmask of all ``j`` with ``j <= i``, including ``i``
     itself.  Construction validates reflexivity, transitivity and
-    antisymmetry, so every instance really is a poset.
+    antisymmetry, so every instance really is a poset.  Only
+    :func:`build_poset` and :attr:`opposite`, whose results are posets by
+    construction, skip the checks (through :meth:`_trusted`).
     """
 
     labels: tuple[str, ...]
     down: tuple[int, ...]
+
+    @classmethod
+    def _trusted(cls, labels: tuple[str, ...], down: tuple[int, ...]) -> "FinitePoset":
+        self = object.__new__(cls)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "down", down)
+        return self
 
     def __post_init__(self) -> None:
         n = len(self.labels)
@@ -85,7 +94,7 @@ class FinitePoset:
     def n(self) -> int:
         return len(self.labels)
 
-    @property
+    @cached_property
     def full_mask(self) -> int:
         return (1 << len(self.labels)) - 1
 
@@ -102,17 +111,16 @@ class FinitePoset:
     @cached_property
     def up(self) -> tuple[int, ...]:
         """``up[i]``: bitmask of all ``j`` with ``i <= j`` (the generizations)."""
-        n = self.n
-        up = [0] * n
-        for j, d in enumerate(self.down):
-            for i in _bits(d):
-                up[i] |= 1 << j
-        return tuple(up)
+        # Transpose the bit matrix ``down`` as text: column k of the binary
+        # rows is bit n - 1 - k, and its j-th character is bit j of an up mask.
+        rows = [format(d, f"0{self.n}b") for d in self.down]
+        columns = ["".join(col) for col in zip(*rows)]
+        return tuple(int(col[::-1], 2) for col in reversed(columns))
 
     @cached_property
     def opposite(self) -> "FinitePoset":
         """The same elements with the order reversed (the Hochster dual)."""
-        return FinitePoset(self.labels, self.up)
+        return FinitePoset._trusted(self.labels, self.up)
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
@@ -182,22 +190,34 @@ class FinitePoset:
 
         @cache
         def count(s: int) -> int:
-            total, factor, rest = 0, 1, s
+            # degree[i] - drop = |comparable(i) & rest|, kept up to date as
+            # elements leave rest (dict order breaks ties towards the lowest
+            # index).  When the pivot is comparable to most of rest, every
+            # degree drops at once and the elements outside are raised back.
+            degree = {i: (comparable[i] & s).bit_count() for i in _bits(s)}
+            total, factor, rest, drop = 0, 1, s, 0
             # unrolling the N(S - x) branch keeps the recursion depth below n / 2
-            while rest:
-                pivot, degree, isolated = -1, 1, 0
-                for i in _bits(rest):
-                    k = (comparable[i] & rest).bit_count()
-                    if k == 1:
-                        isolated |= 1 << i
-                    elif k > degree:
-                        pivot, degree = i, k
-                factor <<= isolated.bit_count()
-                rest &= ~isolated
-                if pivot < 0:
-                    break
-                total += factor * count(rest & ~comparable[pivot])
-                rest &= ~(1 << pivot)
+            while degree:
+                one = drop + 1  # the degree of an element comparable to nothing else
+                if min(degree.values()) == one:
+                    isolated = [i for i, k in degree.items() if k == one]
+                    for i in isolated:
+                        del degree[i]
+                        rest ^= 1 << i
+                    factor <<= len(isolated)
+                    if not degree:
+                        break
+                pivot = max(degree, key=degree.__getitem__)
+                outside = rest & ~comparable[pivot]
+                total += factor * count(outside)
+                rest ^= 1 << pivot
+                if 2 * outside.bit_count() < degree.pop(pivot) - drop:
+                    drop += 1
+                    for j in _bits(outside):
+                        degree[j] += 1
+                else:
+                    for j in _bits(comparable[pivot] & rest):
+                        degree[j] -= 1
             return total + factor
 
         return count(self.full_mask)
@@ -286,57 +306,71 @@ def build_poset(
 ) -> FinitePoset:
     """Build a poset from labels and generating pairs ``(a, b)`` meaning ``a <= b``.
 
-    The stored relation is the reflexive-transitive closure of the pairs.
+    The stored relation is the reflexive-transitive closure of the pairs,
+    computed in one pass over a topological order of the generating graph
+    (each element's down mask is final before it is passed on).  The
+    result is built without re-running the checks of :class:`FinitePoset`,
+    since a closure that reaches every element is already a partial order.
     Raises :class:`DuplicateLabelError` on repeated labels and
     :class:`CycleError` (with the offending cycle) when the closure would
     break antisymmetry.
     """
     labels = tuple(labels)
-    seen: set[str] = set()
-    for lab in labels:
-        if lab in seen:
-            raise DuplicateLabelError(f"duplicate label: {lab!r}")
-        seen.add(lab)
-    index = {lab: i for i, lab in enumerate(labels)}
     n = len(labels)
+    if len(set(labels)) != n:
+        seen: set[str] = set()
+        for lab in labels:
+            if lab in seen:
+                raise DuplicateLabelError(f"duplicate label: {lab!r}")
+            seen.add(lab)
+    index = {lab: i for i, lab in enumerate(labels)}
 
     edges: list[list[int]] = [[] for _ in range(n)]  # a -> b for a <= b
-    down = [1 << i for i in range(n)]
+    preds = [0] * n  # generating pairs into each element, loops left out
     for a, b in covers:
-        if a not in index or b not in index:
+        try:
+            ia, ib = index[a], index[b]
+        except KeyError:
             missing = a if a not in index else b
-            raise PosetError(f"unknown element: {missing!r}")
-        ia, ib = index[a], index[b]
+            raise PosetError(f"unknown element: {missing!r}") from None
         edges[ia].append(ib)
-        down[ib] |= 1 << ia
+        if ia != ib:
+            preds[ib] += 1
 
-    changed = True
-    while changed:
-        changed = False
+    down = [1 << i for i in range(n)]
+    order = [i for i in range(n) if not preds[i]]
+    for a in order:
+        below = down[a]
+        for b in edges[a]:
+            down[b] |= below
+            preds[b] -= 1
+            if not preds[b]:
+                order.append(b)
+    if len(order) < n:
+        raise CycleError(_find_cycle(labels, edges))
+    return FinitePoset._trusted(labels, tuple(down))
+
+
+def _find_cycle(labels: tuple[str, ...], edges: list[list[int]]) -> tuple[str, ...]:
+    # Error path only: close the relation (Warshall), take the first pair
+    # i != j with i <= j <= i in scan order, and stitch the two generating
+    # paths between them together.
+    n = len(labels)
+    down = [1 << i for i in range(n)]
+    for a, succ in enumerate(edges):
+        for b in succ:
+            down[b] |= 1 << a
+    for k in range(n):
+        bit, below = 1 << k, down[k]
         for i in range(n):
-            acc = down[i]
-            for j in _bits(acc):
-                acc |= down[j]
-            if acc != down[i]:
-                down[i] = acc
-                changed = True
-
-    for i in range(n):
-        for j in _bits(down[i]):
-            if j != i and (down[j] >> i) & 1:
-                raise CycleError(_find_cycle(labels, edges, i, j))
-
-    return FinitePoset(labels, tuple(down))
-
-
-def _find_cycle(
-    labels: tuple[str, ...], edges: list[list[int]], i: int, j: int
-) -> tuple[str, ...]:
-    # i <= j and j <= i while i != j; stitch the two generating paths together.
+            if down[i] & bit:
+                down[i] |= below
+    i, j = next(
+        (i, j) for i in range(n) for j in _bits(down[i]) if j != i and (down[j] >> i) & 1
+    )
     forward = _path(edges, j, i)
     backward = _path(edges, i, j)
-    cycle = forward + backward[1:-1]
-    return tuple(labels[k] for k in cycle)
+    return tuple(labels[k] for k in forward + backward[1:-1])
 
 
 def _path(edges: list[list[int]], src: int, dst: int) -> list[int]:
@@ -384,30 +418,3 @@ def enumerate_down_sets(
     """
     for mask in p.down_set_masks(cap):
         yield FiniteSubset(p, mask)
-
-
-def canonicalized(p: FinitePoset, max_size: int = 8) -> FinitePoset:
-    """A canonical relabeling of ``p``: isomorphic posets map to equal ones.
-
-    Reporting helper only.  Exact via permutation search pruned by a degree
-    invariant, hence limited to small posets.
-    """
-    if p.n > max_size:
-        raise PosetError(f"canonical form limited to {max_size} elements")
-    from itertools import permutations
-
-    n = p.n
-    best: tuple[int, ...] | None = None
-    for perm in permutations(range(n)):
-        # perm[i] = new index of element i
-        relabeled = [0] * n
-        for i in range(n):
-            m = 0
-            for j in _bits(p.down[i]):
-                m |= 1 << perm[j]
-            relabeled[perm[i]] = m
-        cand = tuple(relabeled)
-        if best is None or cand < best:
-            best = cand
-    assert best is not None
-    return FinitePoset(tuple(f"x{i}" for i in range(n)), best)

@@ -9,7 +9,6 @@ from specspace.poset import (
     FiniteSubset,
     PosetError,
     build_poset,
-    canonicalized,
     enumerate_down_sets,
     is_down_set,
     is_up_set,
@@ -185,17 +184,42 @@ def test_covers_recovered():
     assert p.covers == ((0, 1), (1, 2))
 
 
-def test_canonical_form_identifies_isomorphic_relabelings():
-    for seed in range(8):
-        p = random_poset(seed, 5)
-        shuffled = random_poset(seed + 100, 5)  # just for a permutation source
-        perm = sorted(range(5), key=lambda i: shuffled.down[i].bit_count() * 31 + i * 7)
-        relabeled_down = [0] * 5
-        for i in range(5):
-            m = 0
-            for j in range(5):
-                if (p.down[i] >> j) & 1:
-                    m |= 1 << perm[j]
-            relabeled_down[perm[i]] = m
-        q = FinitePoset(tuple(f"y{i}" for i in range(5)), tuple(relabeled_down))
-        assert canonicalized(p) == canonicalized(q)
+def test_internal_builds_skip_the_checks(monkeypatch):
+    def refuse(self):
+        raise AssertionError("__post_init__ ran")
+
+    monkeypatch.setattr(FinitePoset, "__post_init__", refuse)
+    p = build_poset(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    q = p.opposite
+    assert p.down == (0b001, 0b011, 0b111)
+    assert q.down == (0b111, 0b110, 0b100)
+    assert q.full_mask == p.full_mask == 0b111
+    with pytest.raises(AssertionError):
+        FinitePoset(p.labels, p.down)
+
+
+@pytest.mark.parametrize(
+    "down, error",
+    [
+        ((0b01, 0b00), "not reflexive"),
+        ((0b001, 0b011, 0b110), "not transitive"),
+        ((0b11, 0b11), "cycle detected"),
+    ],
+)
+def test_direct_construction_still_validates(down, error):
+    labels = tuple("abc"[: len(down)])
+    with pytest.raises(PosetError, match=error):
+        FinitePoset(labels, down)
+
+
+def test_cycle_message_names_the_generating_path():
+    with pytest.raises(CycleError) as err:
+        build_poset(["a", "b", "c", "d"], [("d", "d"), ("a", "b"), ("b", "c"), ("c", "a")])
+    assert str(err.value) == "cycle detected: b <= c <= a <= b"
+
+
+def test_large_posets_build_and_count_exactly():
+    assert chain(2000).count_down_sets() == 2001
+    assert antichain(2000).count_down_sets() == 2**2000
+    assert fan(1000).count_down_sets() == 2**1000 + 1
+
